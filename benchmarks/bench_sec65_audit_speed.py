@@ -84,6 +84,6 @@ def test_sec65_audit_faster_than_execution(once):
     # involves up to 3f+1 replicas' worth — the paper's stated source of
     # audit's advantage.  (The paper's *widening* of the gap with f also
     # depends on the execution side's network load, which our primary-CPU
-    # measure only partially captures; see EXPERIMENTS.md.)
+    # measure only partially captures.)
     for f in (1, 4):
         assert (2 * f + 1) / (3 * f + 1) < 0.8

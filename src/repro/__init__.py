@@ -22,8 +22,8 @@ Quickstart::
     dep.run(until=1.0)
     receipt = client.receipt_for(tx)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+See docs/ARCHITECTURE.md for the system inventory and docs/BENCHMARKS.md
+for the bench that reproduces each table and figure.
 """
 
 __version__ = "1.0.0"

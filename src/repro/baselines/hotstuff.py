@@ -36,7 +36,8 @@ class HotStuffParams:
 
     batch_size: int = 400  # libhotstuff default
     # Per-command leader processing (deserialize, hash, queue) — the
-    # compute-bound throughput knob; calibrated in EXPERIMENTS.md.
+    # compute-bound throughput knob (the Fig. 5 and Tab. 3 benches in
+    # docs/BENCHMARKS.md compare IA-CCF against it).
     per_command_cost: float = 2.6e-6
     sign_client_requests: bool = False  # libhotstuff benchmarks use raw cmds
     chain_depth: int = 3  # blocks to chain before commit

@@ -64,7 +64,70 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
 
 
 def _encode_into(out: bytearray, value: Any) -> None:
-    if value is None:
+    # Fast path: dispatch on the exact type of the hot shapes (tuples,
+    # bytes, str, non-negative ints below 2**62) and write their varints
+    # inline.  Everything else (dicts, None, bools, negative ints and
+    # bigints, lists, subclasses) takes the isinstance chain below; both
+    # paths produce the same bytes.
+    kind = type(value)
+    if kind is tuple:
+        count = len(value)
+        out.append(_TAG_SEQ)
+        if count < 0x80:
+            out.append(count)
+        else:
+            _write_varint(out, count)
+        for item in value:
+            _encode_into(out, item)
+    elif kind is bytes:
+        size = len(value)
+        out.append(_TAG_BYTES)
+        if size < 0x80:
+            out.append(size)
+        else:
+            _write_varint(out, size)
+        out += value
+    elif kind is str:
+        raw = value.encode("utf-8")
+        size = len(raw)
+        out.append(_TAG_STR)
+        if size < 0x80:
+            out.append(size)
+        else:
+            _write_varint(out, size)
+        out += raw
+    elif kind is int and 0 <= value < 0x4000_0000_0000_0000:
+        # The zig-zag form of a non-negative int below 2**62 is 2*value.
+        out.append(_TAG_INT)
+        out.append(0x00)
+        zz = value << 1
+        while zz >= 0x80:
+            out.append(zz & 0x7F | 0x80)
+            zz >>= 7
+        out.append(zz)
+    elif isinstance(value, dict):
+        count = len(value)
+        out.append(_TAG_MAP)
+        if count < 0x80:
+            out.append(count)
+        else:
+            _write_varint(out, count)
+        try:
+            keys = sorted(value)
+        except TypeError as exc:
+            raise CodecError("map keys must be sortable strings") from exc
+        for key in keys:
+            if not isinstance(key, str):
+                raise CodecError(f"map keys must be str, got {type(key).__name__}")
+            raw = key.encode("utf-8")
+            size = len(raw)
+            if size < 0x80:
+                out.append(size)
+            else:
+                _write_varint(out, size)
+            out += raw
+            _encode_into(out, value[key])
+    elif value is None:
         out.append(_TAG_NONE)
     elif value is True:
         out.append(_TAG_TRUE)
@@ -100,20 +163,6 @@ def _encode_into(out: bytearray, value: Any) -> None:
         _write_varint(out, len(value))
         for item in value:
             _encode_into(out, item)
-    elif isinstance(value, dict):
-        out.append(_TAG_MAP)
-        _write_varint(out, len(value))
-        try:
-            keys = sorted(value.keys())
-        except TypeError as exc:
-            raise CodecError("map keys must be sortable strings") from exc
-        for key in keys:
-            if not isinstance(key, str):
-                raise CodecError(f"map keys must be str, got {type(key).__name__}")
-            raw = key.encode("utf-8")
-            _write_varint(out, len(raw))
-            out.extend(raw)
-            _encode_into(out, value[key])
     else:
         raise CodecError(f"cannot encode value of type {type(value).__name__}")
 
@@ -122,6 +171,18 @@ def encode(value: Any) -> bytes:
     """Encode ``value`` into its canonical byte representation."""
     out = bytearray()
     _encode_into(out, value)
+    return bytes(out)
+
+
+def seq_header(count: int) -> bytes:
+    """The bytes that open the encoding of a ``count``-item sequence.
+
+    ``seq_header(n) + encode(a) + ... + encode(z)`` equals
+    ``encode((a, ..., z))``, so a caller holding the encodings of the
+    items can compose the encoding of the tuple without re-encoding them.
+    """
+    out = bytearray((_TAG_SEQ,))
+    _write_varint(out, count)
     return bytes(out)
 
 

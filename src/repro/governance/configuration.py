@@ -86,6 +86,9 @@ class Configuration:
                 )
         if not 1 <= self.vote_threshold <= len(self.members):
             raise GovernanceError(f"vote threshold {self.vote_threshold} out of range")
+        # Replicas consult the sorted ids on every message (primary and
+        # membership checks); the configuration is immutable, so sort once.
+        object.__setattr__(self, "_sorted_ids", tuple(sorted(ids)))
 
     # -- quorum arithmetic -------------------------------------------------
 
@@ -116,10 +119,10 @@ class Configuration:
         return self.replica(replica_id).public_key
 
     def replica_ids(self) -> list[int]:
-        return sorted(r.replica_id for r in self.replicas)
+        return list(self._sorted_ids)
 
     def has_replica(self, replica_id: int) -> bool:
-        return any(r.replica_id == replica_id for r in self.replicas)
+        return replica_id in self._sorted_ids
 
     def member(self, member_id: str) -> MemberInfo:
         for member in self.members:
@@ -137,7 +140,7 @@ class Configuration:
     def primary_for_view(self, view: int) -> int:
         """The primary replica id for ``view`` (p = v mod N over the sorted
         active replica ids)."""
-        ids = self.replica_ids()
+        ids = self._sorted_ids
         return ids[view % len(ids)]
 
     # -- serialization ------------------------------------------------------------

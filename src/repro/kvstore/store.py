@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from .. import codec
-from ..crypto.hashing import Digest, digest_value
+from ..crypto.hashing import Digest, digest, digest_value
 from ..errors import KVError, TransactionAborted
 
 _MISSING = object()
 
 _ACC_MODULUS = 2**256
+_PAIR_HEADER = codec.seq_header(2)
 
 
 def entry_accumulator_term(key: str, value: Any) -> int:
@@ -34,12 +35,23 @@ def state_accumulator(items) -> int:
     2^256, which lets the store maintain it incrementally in O(1) per
     write instead of re-hashing the whole map at every checkpoint.  (The
     paper hashes a CHAMP-map snapshot; the substitution trades
-    collision-resistance margin for replay speed — see DESIGN.md.)
+    collision-resistance margin for replay speed — see the kvstore entry
+    in docs/ARCHITECTURE.md.)
     """
     acc = 0
+    # Bulk states repeat a few int values (every SmallBank account starts
+    # with the same balance), so each distinct int is encoded once and
+    # the pair's encoding is composed from the two halves.
+    int_bytes: dict[int, bytes] = {}
     for key, value in items:
-        acc = (acc + entry_accumulator_term(key, value)) % _ACC_MODULUS
-    return acc
+        if type(value) is int:
+            value_bytes = int_bytes.get(value)
+            if value_bytes is None:
+                value_bytes = int_bytes[value] = codec.encode(value)
+            acc += int.from_bytes(digest(_PAIR_HEADER + codec.encode(key) + value_bytes), "big")
+        else:
+            acc += entry_accumulator_term(key, value)
+    return acc % _ACC_MODULUS
 
 
 def accumulator_digest(acc: int) -> Digest:

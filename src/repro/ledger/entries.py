@@ -20,10 +20,11 @@ wire form of every entry.  Entry kinds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, ClassVar
 
-from ..crypto.hashing import Digest, digest_value
+from .. import codec
+from ..crypto.hashing import Digest, digest, digest_value
 from ..errors import LedgerError
 
 # Message types are imported lazily inside accessors: repro.lpbft depends
@@ -44,8 +45,6 @@ class LedgerEntry:
 
     def encoded_size(self) -> int:
         """Size in bytes of the canonical encoding (Tab. 1)."""
-        from .. import codec
-
         return len(codec.encode(self.to_wire()))
 
 
@@ -82,9 +81,17 @@ class TxEntry(LedgerEntry):
     request_wire: tuple
     index: int
     output: Any
+    # The entry's digest when the builder already has it (from
+    # :func:`tx_leaf_digests`); None means hash the wire form.
+    known_digest: Digest | None = field(default=None, compare=False, repr=False)
 
     def to_wire(self) -> tuple:
         return ("tx", self.request_wire, self.index, self.output)
+
+    def digest(self) -> Digest:
+        if self.known_digest is not None:
+            return self.known_digest
+        return super().digest()
 
     def request(self):
         from ..lpbft.messages import TransactionRequest
@@ -95,6 +102,19 @@ class TxEntry(LedgerEntry):
         """The ``(t, i, o)`` triple a receipt commits to — also the G-tree
         leaf preimage."""
         return (self.request_wire, self.index, self.output)
+
+
+_TIO_HEADER = codec.seq_header(3)
+_TX_ENTRY_HEADER = codec.seq_header(4) + codec.encode("tx")
+
+
+def tx_leaf_digests(request_wire_bytes: bytes, index: int, output: Any) -> tuple[Digest, Digest]:
+    """The G leaf ``H((t, i, o))`` and the ledger leaf ``H(("tx", t, i,
+    o))`` of one transaction, given the encoded request ``t``.  Both
+    preimages end in the same encoded ``t ‖ i ‖ o``, so it is built once;
+    the results equal ``digest_value`` of the full tuples."""
+    tail = request_wire_bytes + codec.encode(index) + codec.encode(output)
+    return digest(_TIO_HEADER + tail), digest(_TX_ENTRY_HEADER + tail)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+from .. import codec
 from ..crypto import signatures
 from ..crypto.hashing import Digest
 from ..errors import ReceiptError
@@ -22,6 +23,10 @@ from ..network import Node
 from ..receipts import GovernanceChain, Receipt, ReceiptCollector, verify_chain
 from ..sim.costs import CostModel
 from ..sim.metrics import MetricsCollector
+
+# Opening bytes of the encoded ("request", wire) message: its size is
+# these plus the request's cached wire bytes.
+_REQUEST_ENVELOPE = codec.seq_header(2) + codec.encode("request")
 
 
 class LPBFTClient(Node):
@@ -140,6 +145,7 @@ class LPBFTClient(Node):
         tx_digest = request.request_digest()
         self.collector.track(tx_digest, request.to_wire(), now=self.now)
         payload = ("request", request.to_wire())
+        size = len(_REQUEST_ENVELOPE) + len(request.wire_bytes)
         if self.tracer.enabled:
             root = self.tracer.root_span(
                 "request", self.address, self.now,
@@ -149,12 +155,12 @@ class LPBFTClient(Node):
             self._send_ctx = root.context
             try:
                 for address in self.replica_addresses:
-                    self.send(address, payload)
+                    self.send(address, payload, size)
             finally:
                 self._send_ctx = prev_ctx
             return tx_digest
         for address in self.replica_addresses:
-            self.send(address, payload)
+            self.send(address, payload, size)
         return tx_digest
 
     def pending_count(self) -> int:

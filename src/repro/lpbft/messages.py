@@ -24,6 +24,27 @@ BATCH_END_OF_CONFIG = 1
 BATCH_START_OF_CONFIG = 2
 BATCH_CHECKPOINT = 3
 
+# Opening bytes of the encoded signed-field tuple and of the encoded wire
+# tuple of a request; the fields after the tag are shared by both.
+_SIGNED_HEADER = codec.seq_header(7) + codec.encode("request")
+_WIRE_HEADER = codec.seq_header(8) + codec.encode("request")
+
+
+class _computed_once:
+    """``functools.cached_property`` without its lock, which Python 3.11
+    takes on every first access: the value is stored in the instance
+    dict, where it shadows this descriptor from then on."""
+
+    def __init__(self, compute) -> None:
+        self.compute = compute
+        self.name = compute.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
 
 @dataclass(frozen=True)
 class TransactionRequest:
@@ -35,6 +56,10 @@ class TransactionRequest:
     the minimum ledger index ``mi`` after which the request may execute,
     used to encode ordering dependencies; ``nonce`` distinguishes repeated
     invocations by the same client.
+
+    A request is an immutable value: the encoding of its signed fields,
+    its wire bytes and ``H(t)`` are computed once and cached, so ``args``
+    must not be mutated after construction.
     """
 
     procedure: str
@@ -45,13 +70,27 @@ class TransactionRequest:
     nonce: int
     signature: bytes = b""
 
-    def signed_payload(self) -> bytes:
+    @_computed_once
+    def _signed_bytes(self) -> bytes:
         return codec.encode(
             ("request", self.procedure, self.args, self.client, self.service, self.min_index, self.nonce)
         )
 
+    def signed_payload(self) -> bytes:
+        return self._signed_bytes
+
     def with_signature(self, signature: bytes) -> "TransactionRequest":
-        return replace(self, signature=signature)
+        signed = replace(self, signature=signature)
+        # The signed fields are unchanged, so their encoding carries over.
+        signed.__dict__["_signed_bytes"] = self._signed_bytes
+        return signed
+
+    @_computed_once
+    def wire_bytes(self) -> bytes:
+        """``codec.encode(self.to_wire())``, composed from the cached
+        encoding of the signed fields plus the encoded signature."""
+        body = self._signed_bytes[len(_SIGNED_HEADER):]
+        return _WIRE_HEADER + body + codec.encode(self.signature)
 
     def to_wire(self) -> tuple:
         return (
@@ -83,9 +122,13 @@ class TransactionRequest:
             signature=signature,
         )
 
+    @_computed_once
+    def _request_digest(self) -> Digest:
+        return digest(self.wire_bytes)
+
     def request_digest(self) -> Digest:
         """``H(t)``: hash of the full signed request (used in batches)."""
-        return digest_value(self.to_wire())
+        return self._request_digest
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,7 @@ from ..ledger import (
     RetentionPolicy,
     TxEntry,
 )
+from ..ledger.entries import tx_leaf_digests
 from ..merkle import MerkleTree
 from ..network import Node
 from ..receipts.chain import GovernanceChain, GovernanceLink
@@ -132,6 +133,7 @@ class BatchRecord:
     pp: PrePrepare | None = None
     pp_digest: Digest | None = None
     tios: list = field(default_factory=list)  # (request_wire|synthetic, index, output)
+    staged: list = field(default_factory=list)  # tx/checkpoint entries awaiting _install_batch
     g_tree: MerkleTree = field(default_factory=MerkleTree)
     tx_digests: list = field(default_factory=list)  # request digest per tio (None for cp tx)
     clients: dict = field(default_factory=dict)  # client pubkey -> [tx digests]
@@ -952,6 +954,7 @@ class LPBFTReplicaCore(Node):
             record.tios.append(entry.tio())
             record.g_tree.append(digest_value(entry.tio()))
             record.tx_digests.append(None)
+            record.staged.append(entry)
             next_index += 1
             self.last_recorded_cp = cp_seqno
             self.cp_directory.note_record(s, cp_seqno, cp.digest())
@@ -974,10 +977,14 @@ class LPBFTReplicaCore(Node):
                 exec_span.finish(self.cpu_time())
             if self.behavior is not None:
                 output = self.behavior.mutate_output(self, request, output)
-            tio = (request.to_wire(), next_index, output)
-            record.tios.append(tio)
-            record.g_tree.append(digest_value(tio))
+            request_wire = request.to_wire()
+            g_leaf, entry_digest = tx_leaf_digests(request.wire_bytes, next_index, output)
+            record.tios.append((request_wire, next_index, output))
+            record.g_tree.append(g_leaf)
             record.tx_digests.append(tx_digest)
+            record.staged.append(
+                TxEntry(request_wire=request_wire, index=next_index, output=output, known_digest=entry_digest)
+            )
             record.clients.setdefault(request.client, []).append(tx_digest)
             self.tx_locations[tx_digest] = (s, next_index)
             next_index += 1
@@ -1036,21 +1043,9 @@ class LPBFTReplicaCore(Node):
         record.pp = pp
         record.pp_digest = pp.digest()
         self.ledger.append(PrePrepareEntry(pp_wire=pp.to_wire()))
-        for tio, tx_digest in zip(record.tios, record.tx_digests):
-            request_wire, index, output = tio
-            if tx_digest is None and isinstance(request_wire, tuple) and request_wire[0] == "__checkpoint__":
-                _, cp_seqno, cp_digest, ledger_size, ledger_root = request_wire
-                self.ledger.append(
-                    CheckpointTxEntry(
-                        cp_seqno=cp_seqno,
-                        cp_digest=cp_digest,
-                        ledger_size=ledger_size,
-                        ledger_root=ledger_root,
-                        index=index,
-                    )
-                )
-            else:
-                self.ledger.append(TxEntry(request_wire=request_wire, index=index, output=output))
+        for entry in record.staged:
+            self.ledger.append(entry)
+        record.staged.clear()
         if self.params.ledger:
             entries = 1 + len(record.tios)
             self.submit("append", entries * self.costs.ledger_append)

@@ -32,7 +32,8 @@ from __future__ import annotations
 import random
 from typing import Any, Callable
 
-from ..errors import NetworkError
+from .. import codec
+from ..errors import CodecError, NetworkError
 from ..obs.trace import NULL_TRACER
 from ..sim.cpu import VirtualCPU
 from ..sim.scheduler import EventScheduler
@@ -175,6 +176,9 @@ class Node:
             self.net.scheduler.cancel(timer_id)
 
 
+_NOT_SIZED = object()
+
+
 class SimNetwork:
     """Delivers messages between registered nodes via the scheduler."""
 
@@ -195,7 +199,12 @@ class SimNetwork:
         self.reorder_window = 0.0
         self._reorder_probability = 0.0
         self._reorder_rng: random.Random | None = None
-        self._size_of = size_of or _default_size_of
+        self._size_of = size_of or self._default_size_of
+        # A broadcast sends one message object to many destinations:
+        # remember the last object sized so it is encoded once.
+        self._sized_msg: Any = _NOT_SIZED
+        self._sized_bytes = 0
+        self.messages_unsized = 0
         self.messages_sent = 0
         self.bytes_sent = 0
         self.messages_dropped = 0
@@ -372,7 +381,11 @@ class SimNetwork:
             if rule(src, dst, msg):
                 self.messages_dropped += 1
                 return
-        size = self._size_of(msg) if size is None else size
+        if size is None:
+            if msg is not self._sized_msg:
+                self._sized_msg = msg
+                self._sized_bytes = self._size_of(msg)
+            size = self._sized_bytes
         self.messages_sent += 1
         self.bytes_sent += size
         src_node = self._nodes.get(src)
@@ -423,25 +436,20 @@ class SimNetwork:
             node._end_activity()
             node._inbound_ctx = None
 
+    def _default_size_of(self, msg: Any) -> int:
+        """Wire size of ``msg`` via the canonical codec.  A message the
+        codec cannot encode is charged a nominal 256 bytes and counted in
+        ``messages_unsized``, so the estimate never skews ``bytes_sent``
+        silently."""
+        wire = getattr(msg, "to_wire", None)
+        try:
+            return len(codec.encode(wire() if wire is not None else msg))
+        except CodecError:
+            self.messages_unsized += 1
+            return 256
+
     # -- running ----------------------------------------------------------------------
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run the simulation (delegates to the scheduler)."""
         self.scheduler.run(until=until, max_events=max_events)
-
-
-def _default_size_of(msg: Any) -> int:
-    """Estimate wire size via the canonical codec when possible."""
-    from .. import codec
-    from ..errors import CodecError
-
-    wire = getattr(msg, "to_wire", None)
-    if wire is not None:
-        try:
-            return len(codec.encode(wire()))
-        except CodecError:
-            return 256
-    try:
-        return len(codec.encode(msg))
-    except CodecError:
-        return 256

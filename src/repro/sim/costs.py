@@ -49,7 +49,7 @@ class CostModel:
     # Key-value store: per-operation base cost plus a log-growth component
     # (CCF's CHAMP map access grows logarithmically with item count).
     # Calibrated so the Tab. 3 variant ladder reproduces the paper's
-    # ratios (see EXPERIMENTS.md "cost model calibration").
+    # ratios (benchmarks/bench_tab3_breakdown.py checks the ladder).
     kv_op_base: float = 0.55e-6
     kv_op_log_factor: float = 0.015e-6
 
