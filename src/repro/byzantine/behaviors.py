@@ -21,6 +21,15 @@ class Behavior:
     payload substitutes it.  ``mutate_output`` runs during early
     execution, so a tampering replica really commits the wrong result to
     its ledger and Merkle trees.
+
+    The ``outgoing_*`` payloads may carry message objects rather than
+    wire tuples: ``(kind, message, ...)`` where ``message`` is the
+    immutable :class:`~repro.lpbft.messages.PrePrepare`, ``Prepare``,
+    ``Commit``, ``Reply`` or ``ReplyX`` the replica built.  A hook must not
+    modify such an object, since receivers share it.  To tamper, it
+    substitutes a wire tuple (``message.to_wire()``, edited) or a new
+    object (``dataclasses.replace``); receivers decode tuples with
+    ``from_wire``.
     """
 
     def mutate_output(self, replica, request, output: dict) -> dict:
@@ -180,7 +189,11 @@ class EquivocatingPrimary(Behavior):
     ``victims`` receive a batch whose transaction outputs are tampered.
     With honest backups this only stalls progress (root mismatch → view
     change); with enough colluders it forks the service — either way the
-    signed pre-prepares are equivocation evidence."""
+    signed pre-prepares are equivocation evidence.
+
+    ``mutate`` receives the payload ``("pre-prepare", pp, digests)``,
+    whose ``pp`` is the shared :class:`~repro.lpbft.messages.PrePrepare`
+    object.  It returns a new payload and must leave ``pp`` unchanged."""
 
     def __init__(self, victims: set[str], mutate: Callable[[tuple], tuple]) -> None:
         self.victims = set(victims)

@@ -10,6 +10,10 @@ entry sizes.  This module provides a small, self-describing TLV
 ``str``, ``tuple``/``list`` (both decode as ``tuple``), and ``dict`` with
 string keys (encoded with keys sorted, so encoding is canonical).
 
+An object with a ``wire_bytes`` attribute (a protocol message) encodes as
+exactly those bytes, which are the encoding of its wire tuple; such
+objects decode as that tuple.
+
 The encoding is deliberately simple rather than clever: a one-byte tag, a
 varint length where needed, then the payload.  It is stable across Python
 versions and platforms.
@@ -164,7 +168,10 @@ def _encode_into(out: bytearray, value: Any) -> None:
         for item in value:
             _encode_into(out, item)
     else:
-        raise CodecError(f"cannot encode value of type {type(value).__name__}")
+        wire = getattr(value, "wire_bytes", None)
+        if type(wire) is not bytes:
+            raise CodecError(f"cannot encode value of type {type(value).__name__}")
+        out += wire
 
 
 def encode(value: Any) -> bytes:
@@ -183,6 +190,25 @@ def seq_header(count: int) -> bytes:
     """
     out = bytearray((_TAG_SEQ,))
     _write_varint(out, count)
+    return bytes(out)
+
+
+def map_header(count: int) -> bytes:
+    """The bytes that open the encoding of a ``count``-entry map; each
+    entry then follows as ``map_key(key) + encode(value)``, keys sorted."""
+    out = bytearray((_TAG_MAP,))
+    _write_varint(out, count)
+    return bytes(out)
+
+
+def map_key(key: str) -> bytes:
+    """The bytes a ``str`` key takes inside an encoded map: a varint
+    length and the raw UTF-8, with no str tag.  ``encode(key)`` is the
+    str tag byte followed by these bytes."""
+    raw = key.encode("utf-8")
+    out = bytearray()
+    _write_varint(out, len(raw))
+    out += raw
     return bytes(out)
 
 

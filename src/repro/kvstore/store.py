@@ -20,12 +20,24 @@ _MISSING = object()
 
 _ACC_MODULUS = 2**256
 _PAIR_HEADER = codec.seq_header(2)
+_STR_TAG = codec.encode("")[:1]
+_NONE = codec.encode(None)
+# {"deleted": ..., "writes": ...} encodes as these, the deleted keys, the
+# second key and the writes map (map keys carry no str tag).
+_WS_HEADER = codec.map_header(2) + codec.map_key("deleted")
+_WS_WRITES_KEY = codec.map_key("writes")
 
 
 def entry_accumulator_term(key: str, value: Any) -> int:
     """The additive term one ``(key, value)`` pair contributes to the
     state accumulator."""
     return int.from_bytes(digest_value((key, value)), "big")
+
+
+def _pair_term(map_key: bytes, value_bytes: bytes) -> int:
+    """``entry_accumulator_term(key, value)`` from the key's map form
+    (``codec.map_key``) and the encoded value."""
+    return int.from_bytes(digest(_PAIR_HEADER + _STR_TAG + map_key + value_bytes), "big")
 
 
 def state_accumulator(items) -> int:
@@ -90,6 +102,10 @@ class KVTransaction:
     def __init__(self, store: "KVStore") -> None:
         self._store = store
         self._writes: dict[str, Any] = {}
+        # Encodings made once and reused for the accumulator terms and the
+        # write-set digest: each put value, and each written key's map form.
+        self._encoded: dict[str, bytes] = {}
+        self._map_keys: dict[str, bytes] = {}
         self._reads: set[str] = set()
         self._closed = False
 
@@ -130,17 +146,19 @@ class KVTransaction:
     # -- writes ----------------------------------------------------------
 
     def put(self, key: str, value: Any) -> None:
-        """Buffer a write of ``value`` to ``key``."""
+        """Buffer a write of ``value`` to ``key``.  The value is encoded
+        now (which validates it), so it must not be mutated afterwards."""
         self._check_open()
         if not isinstance(key, str):
             raise KVError(f"keys must be str, got {type(key).__name__}")
-        codec.encode(value)  # validate encodability eagerly
+        self._encoded[key] = codec.encode(value)
         self._writes[key] = value
 
     def delete(self, key: str) -> None:
         """Buffer a delete of ``key`` (no-op if absent at commit)."""
         self._check_open()
         self._writes[key] = _MISSING
+        self._encoded.pop(key, None)
 
     def abort(self, reason: str = "aborted") -> None:
         """Abort the transaction; the enclosing execute() rolls back."""
@@ -165,16 +183,19 @@ class KVTransaction:
         undo: dict[str, Any] = {}
         store = self._store
         data = store._data
+        acc = store._acc
         for key, value in self._writes.items():
+            map_key = self._map_keys[key] = codec.map_key(key)
             prior = data.get(key, _MISSING)
             undo[key] = prior
             if prior is not _MISSING:
-                store._acc = (store._acc - entry_accumulator_term(key, prior)) % _ACC_MODULUS
+                acc -= _pair_term(map_key, codec.encode(prior))
             if value is _MISSING:
                 data.pop(key, None)
             else:
                 data[key] = value
-                store._acc = (store._acc + entry_accumulator_term(key, value)) % _ACC_MODULUS
+                acc += _pair_term(map_key, self._encoded[key])
+        store._acc = acc % _ACC_MODULUS
         record = TxRecord(tx_id=self._store._next_tx_id, undo=undo, write_set=dict(self._writes))
         self._store._next_tx_id += 1
         self._store._log.append(record)
@@ -183,6 +204,24 @@ class KVTransaction:
     def _discard(self) -> None:
         self._closed = True
         self._writes.clear()
+        self._encoded.clear()
+
+    def write_set_digest(self) -> Digest:
+        """The committed record's :meth:`TxRecord.write_set_digest`,
+        composed from the encodings ``put`` and ``_commit`` made."""
+        writes = bytearray(codec.map_header(len(self._writes)))
+        deleted = []
+        for key in sorted(self._writes):
+            map_key = self._map_keys[key]
+            writes += map_key
+            value = self._encoded.get(key)
+            if value is None:
+                writes += _NONE
+                deleted.append(_STR_TAG + map_key)
+            else:
+                writes += value
+        deleted_bytes = codec.seq_header(len(deleted)) + b"".join(deleted)
+        return digest(_WS_HEADER + deleted_bytes + _WS_WRITES_KEY + writes)
 
 
 class KVStore:

@@ -106,14 +106,24 @@ class TxEntry(LedgerEntry):
 
 _TIO_HEADER = codec.seq_header(3)
 _TX_ENTRY_HEADER = codec.seq_header(4) + codec.encode("tx")
+_PAIR_HEADER_LEN = len(codec.seq_header(2))
 
 
-def tx_leaf_digests(request_wire_bytes: bytes, index: int, output: Any) -> tuple[Digest, Digest]:
+def io_bytes(index: int, output: Any) -> bytes:
+    """The encoded ``i ‖ o`` that ends a tio, a ``tx`` entry and a
+    replyx: ``codec.encode(index) + codec.encode(output)``."""
+    return codec.encode((index, output))[_PAIR_HEADER_LEN:]
+
+
+def tx_leaf_digests(
+    request_wire_bytes: bytes, index: int, output: Any, io: bytes | None = None
+) -> tuple[Digest, Digest]:
     """The G leaf ``H((t, i, o))`` and the ledger leaf ``H(("tx", t, i,
     o))`` of one transaction, given the encoded request ``t``.  Both
     preimages end in the same encoded ``t ‖ i ‖ o``, so it is built once;
-    the results equal ``digest_value`` of the full tuples."""
-    tail = request_wire_bytes + codec.encode(index) + codec.encode(output)
+    the results equal ``digest_value`` of the full tuples.  ``io`` is
+    ``io_bytes(index, output)`` when the caller already holds it."""
+    tail = request_wire_bytes + (io_bytes(index, output) if io is None else io)
     return digest(_TIO_HEADER + tail), digest(_TX_ENTRY_HEADER + tail)
 
 

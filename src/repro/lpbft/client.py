@@ -14,19 +14,14 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from .. import codec
 from ..crypto import signatures
 from ..crypto.hashing import Digest
 from ..errors import ReceiptError
-from ..lpbft.messages import Reply, ReplyX, TransactionRequest
+from ..lpbft.messages import Reply, ReplyX, TransactionRequest, as_message
 from ..network import Node
 from ..receipts import GovernanceChain, Receipt, ReceiptCollector, verify_chain
 from ..sim.costs import CostModel
 from ..sim.metrics import MetricsCollector
-
-# Opening bytes of the encoded ("request", wire) message: its size is
-# these plus the request's cached wire bytes.
-_REQUEST_ENVELOPE = codec.seq_header(2) + codec.encode("request")
 
 
 class LPBFTClient(Node):
@@ -143,9 +138,10 @@ class LPBFTClient(Node):
             signature = b""
         request = request.with_signature(signature)
         tx_digest = request.request_digest()
-        self.collector.track(tx_digest, request.to_wire(), now=self.now)
-        payload = ("request", request.to_wire())
-        size = len(_REQUEST_ENVELOPE) + len(request.wire_bytes)
+        self.collector.track(tx_digest, request, now=self.now)
+        # The request object itself rides in the envelope: replicas share
+        # it, and the network sizes it from its cached wire bytes.
+        payload = ("request", request)
         if self.tracer.enabled:
             root = self.tracer.root_span(
                 "request", self.address, self.now,
@@ -155,12 +151,12 @@ class LPBFTClient(Node):
             self._send_ctx = root.context
             try:
                 for address in self.replica_addresses:
-                    self.send(address, payload, size)
+                    self.send(address, payload)
             finally:
                 self._send_ctx = prev_ctx
             return tx_digest
         for address in self.replica_addresses:
-            self.send(address, payload, size)
+            self.send(address, payload)
         return tx_digest
 
     def pending_count(self) -> int:
@@ -176,7 +172,7 @@ class LPBFTClient(Node):
         # machines with offered load, so clients are never the bottleneck.
         kind = msg[0]
         if kind == "reply":
-            reply = Reply.from_wire(msg[1])
+            reply = as_message(Reply, msg[1])
             for tx_digest in msg[2]:
                 if self.tracer.enabled and tx_digest in self._root_spans:
                     self._first_reply.setdefault(tx_digest, self.now)
@@ -184,7 +180,7 @@ class LPBFTClient(Node):
                 if finished is not None:
                     self._complete(tx_digest, finished)
         elif kind == "replyx":
-            replyx = ReplyX.from_wire(msg[1])
+            replyx = as_message(ReplyX, msg[1])
             if self.tracer.enabled and replyx.tx_digest in self._root_spans:
                 self._first_reply.setdefault(replyx.tx_digest, self.now)
             self._note_gov_index(replyx.gov_index)
@@ -380,7 +376,7 @@ class LPBFTClient(Node):
         """A replica shed this request: back off before retransmitting,
         or give up if the retry budget is spent (§3.3 retransmission,
         throttled)."""
-        if tx_digest in self.receipts or self.collector.request_wire(tx_digest) is None:
+        if tx_digest in self.receipts or self.collector.request(tx_digest) is None:
             return
         attempt = self._attempts.get(tx_digest, 0)
         if self._rejected_attempt.get(tx_digest) == attempt:
@@ -408,7 +404,7 @@ class LPBFTClient(Node):
         that span now run from checkpoint state too).  The retry loop
         keeps rotating through replicas meanwhile, so an honest holder is
         still asked."""
-        if tx_digest in self.receipts or self.collector.request_wire(tx_digest) is None:
+        if tx_digest in self.receipts or self.collector.request(tx_digest) is None:
             return
         reports = self._gone_reports.setdefault(tx_digest, {})
         reports[src] = (cp_seqno, cp_digest)
@@ -477,7 +473,7 @@ class LPBFTClient(Node):
                 self._abandon(tx_digest)
                 continue
             self._attempts[tx_digest] = attempt + 1
-            payload = ("request", self.collector.request_wire(tx_digest))
+            payload = ("request", self.collector.request(tx_digest))
             if self.tracer.enabled:
                 # Retransmissions rejoin the original request's trace.
                 root = self._root_spans.get(tx_digest)

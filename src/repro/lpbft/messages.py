@@ -5,16 +5,24 @@ both for transmission over the simulated network and for hashing into the
 ledger's Merkle trees.  Signed messages expose ``signed_payload()`` — the
 canonical bytes covered by the signature — with a per-type domain tag so
 a signature over one message type can never be replayed as another.
+
+Messages are immutable values.  The hot ones (requests, pre-prepares,
+prepares, commits, replies and replyx) cache their wire tuple, their
+``wire_bytes`` and, where they have them, their signed payload and digest.
+Correct nodes put the message object itself into the network envelope;
+:func:`as_message` is the decode boundary on the receiving side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, TypeVar
 
 from .. import codec
-from ..crypto.hashing import Digest, digest, digest_value
+from ..crypto.hashing import Digest, digest
 from ..errors import ProtocolError
+from ..ledger.entries import io_bytes
+from ..merkle import MerklePath
 
 # Batch kinds (the ``flags`` field of a pre-prepare).  Regular batches carry
 # client transactions; the reconfiguration batches of §5.1 are empty and
@@ -24,10 +32,38 @@ BATCH_END_OF_CONFIG = 1
 BATCH_START_OF_CONFIG = 2
 BATCH_CHECKPOINT = 3
 
-# Opening bytes of the encoded signed-field tuple and of the encoded wire
-# tuple of a request; the fields after the tag are shared by both.
-_SIGNED_HEADER = codec.seq_header(7) + codec.encode("request")
-_WIRE_HEADER = codec.seq_header(8) + codec.encode("request")
+# Opening bytes of the replyx wire tuple: the sequence header and the tag.
+_REPLYX_HEADER = codec.seq_header(14) + codec.encode("replyx")
+
+
+def _signed_wire_bytes(signed: bytes, count: int, signature: bytes) -> bytes:
+    """``codec.encode`` of a wire tuple that is the ``count``-item signed
+    tuple plus a trailing signature, composed from the signed encoding."""
+    body = signed[len(codec.seq_header(count)):]
+    return codec.seq_header(count + 1) + body + codec.encode(signature)
+
+
+_M = TypeVar("_M")
+
+
+def _with_signature(message: _M, signature: bytes) -> _M:
+    """``message`` with ``signature`` set.  The signed fields are
+    unchanged, so their cached encoding carries over."""
+    signed = replace(message, signature=signature)
+    signed.__dict__["_signed_bytes"] = message._signed_bytes
+    return signed
+
+
+def as_message(cls: type[_M], raw: Any) -> _M:
+    """The typed message a handler works on.
+
+    Correct nodes send the immutable message object itself, and a receiver
+    shares it as it is.  Anything else — wire tuples from tests, Byzantine
+    senders, ``requests-bundle`` or the ledger — goes through
+    ``cls.from_wire``, which validates the shape."""
+    if type(raw) is cls:
+        return raw
+    return cls.from_wire(raw)
 
 
 class _computed_once:
@@ -58,8 +94,9 @@ class TransactionRequest:
     invocations by the same client.
 
     A request is an immutable value: the encoding of its signed fields,
-    its wire bytes and ``H(t)`` are computed once and cached, so ``args``
-    must not be mutated after construction.
+    its wire tuple and bytes and ``H(t)`` are computed once and cached, so
+    ``args`` must not be mutated after construction.  The client and every
+    replica share one request object.
     """
 
     procedure: str
@@ -80,19 +117,16 @@ class TransactionRequest:
         return self._signed_bytes
 
     def with_signature(self, signature: bytes) -> "TransactionRequest":
-        signed = replace(self, signature=signature)
-        # The signed fields are unchanged, so their encoding carries over.
-        signed.__dict__["_signed_bytes"] = self._signed_bytes
-        return signed
+        return _with_signature(self, signature)
 
     @_computed_once
     def wire_bytes(self) -> bytes:
         """``codec.encode(self.to_wire())``, composed from the cached
         encoding of the signed fields plus the encoded signature."""
-        body = self._signed_bytes[len(_SIGNED_HEADER):]
-        return _WIRE_HEADER + body + codec.encode(self.signature)
+        return _signed_wire_bytes(self._signed_bytes, 7, self.signature)
 
-    def to_wire(self) -> tuple:
+    @_computed_once
+    def _wire(self) -> tuple:
         return (
             "request",
             self.procedure,
@@ -103,6 +137,9 @@ class TransactionRequest:
             self.nonce,
             self.signature,
         )
+
+    def to_wire(self) -> tuple:
+        return self._wire
 
     @staticmethod
     def from_wire(raw: tuple) -> "TransactionRequest":
@@ -160,7 +197,8 @@ class PrePrepare:
     committed_root: Digest = b""
     signature: bytes = b""
 
-    def signed_payload(self) -> bytes:
+    @_computed_once
+    def _signed_bytes(self) -> bytes:
         return codec.encode(
             (
                 "pre-prepare",
@@ -177,10 +215,35 @@ class PrePrepare:
             )
         )
 
-    def with_signature(self, signature: bytes) -> "PrePrepare":
-        return replace(self, signature=signature)
+    def signed_payload(self) -> bytes:
+        return self._signed_bytes
 
-    def to_wire(self) -> tuple:
+    def with_signature(self, signature: bytes) -> "PrePrepare":
+        return _with_signature(self, signature)
+
+    @_computed_once
+    def wire_bytes(self) -> bytes:
+        return _signed_wire_bytes(self._signed_bytes, 11, self.signature)
+
+    @_computed_once
+    def _replyx_head(self) -> bytes:
+        """The encoded opening of every replyx for this batch: the header,
+        the tag and the pre-prepare fields a replyx repeats."""
+        fields = (
+            self.view,
+            self.seqno,
+            self.root_m,
+            self.nonce_commitment,
+            self.evidence_bitmap,
+            self.gov_index,
+            self.checkpoint_digest,
+            self.flags,
+            self.committed_root,
+        )
+        return _REPLYX_HEADER + codec.encode(fields)[len(codec.seq_header(len(fields))):]
+
+    @_computed_once
+    def _wire(self) -> tuple:
         return (
             "pre-prepare",
             self.view,
@@ -195,6 +258,9 @@ class PrePrepare:
             self.committed_root,
             self.signature,
         )
+
+    def to_wire(self) -> tuple:
+        return self._wire
 
     @staticmethod
     def from_wire(raw: tuple) -> "PrePrepare":
@@ -218,9 +284,13 @@ class PrePrepare:
             signature=sig,
         )
 
+    @_computed_once
+    def _digest(self) -> Digest:
+        return digest(self.wire_bytes)
+
     def digest(self) -> Digest:
         """``H(pp)``: hash of the signed pre-prepare, bound into prepares."""
-        return digest_value(self.to_wire())
+        return self._digest
 
 
 @dataclass(frozen=True)
@@ -236,14 +306,26 @@ class Prepare:
     pp_digest: Digest
     signature: bytes = b""
 
-    def signed_payload(self) -> bytes:
+    @_computed_once
+    def _signed_bytes(self) -> bytes:
         return codec.encode(("prepare", self.replica, self.nonce_commitment, self.pp_digest))
 
+    def signed_payload(self) -> bytes:
+        return self._signed_bytes
+
     def with_signature(self, signature: bytes) -> "Prepare":
-        return replace(self, signature=signature)
+        return _with_signature(self, signature)
+
+    @_computed_once
+    def wire_bytes(self) -> bytes:
+        return _signed_wire_bytes(self._signed_bytes, 4, self.signature)
+
+    @_computed_once
+    def _wire(self) -> tuple:
+        return ("prepare", self.replica, self.nonce_commitment, self.pp_digest, self.signature)
 
     def to_wire(self) -> tuple:
-        return ("prepare", self.replica, self.nonce_commitment, self.pp_digest, self.signature)
+        return self._wire
 
     @staticmethod
     def from_wire(raw: tuple) -> "Prepare":
@@ -266,8 +348,16 @@ class Commit:
     replica: int
     nonce: bytes
 
-    def to_wire(self) -> tuple:
+    @_computed_once
+    def wire_bytes(self) -> bytes:
+        return codec.encode(self._wire)
+
+    @_computed_once
+    def _wire(self) -> tuple:
         return ("commit", self.view, self.seqno, self.replica, self.nonce)
+
+    def to_wire(self) -> tuple:
+        return self._wire
 
     @staticmethod
     def from_wire(raw: tuple) -> "Commit":
@@ -295,8 +385,16 @@ class Reply:
     signature: bytes
     nonce: bytes
 
-    def to_wire(self) -> tuple:
+    @_computed_once
+    def wire_bytes(self) -> bytes:
+        return codec.encode(self._wire)
+
+    @_computed_once
+    def _wire(self) -> tuple:
         return ("reply", self.view, self.seqno, self.replica, self.signature, self.nonce)
+
+    def to_wire(self) -> tuple:
+        return self._wire
 
     @staticmethod
     def from_wire(raw: tuple) -> "Reply":
@@ -316,7 +414,8 @@ class ReplyX:
     Sent by the designated replica only; carries everything the client
     needs (beyond the per-replica replies) to assemble a receipt:
     the pre-prepare fields, the transaction's position and output, and the
-    Merkle path ``S`` through the batch tree G.
+    Merkle path ``S`` through the batch tree G.  Replicas build it with
+    :meth:`for_tx`, which composes its wire bytes from cached parts.
     """
 
     view: int
@@ -333,7 +432,58 @@ class ReplyX:
     output: Any
     path: tuple  # MerklePath.to_wire()
 
-    def to_wire(self) -> tuple:
+    @staticmethod
+    def for_tx(
+        pp: PrePrepare,
+        tx_digest: Digest,
+        index: int,
+        output: Any,
+        path: MerklePath,
+        io: bytes | None = None,
+    ) -> "ReplyX":
+        """The replyx for one transaction of the batch ``pp`` proposed.
+
+        Its wire bytes are the batch's cached replyx head, the encoded
+        ``tx_digest``, the encoded ``i ‖ o`` and the encoded path.  ``io``
+        is ``io_bytes(index, output)`` when the caller still holds it from
+        ``tx_leaf_digests``.  The ``MerklePath``
+        object rides along, so a receiver that shares this replyx does not
+        decode the path again."""
+        path_wire = path.to_wire()
+        replyx = ReplyX(
+            view=pp.view,
+            seqno=pp.seqno,
+            root_m=pp.root_m,
+            primary_nonce_commitment=pp.nonce_commitment,
+            evidence_bitmap=pp.evidence_bitmap,
+            gov_index=pp.gov_index,
+            checkpoint_digest=pp.checkpoint_digest,
+            flags=pp.flags,
+            committed_root=pp.committed_root,
+            tx_digest=tx_digest,
+            index=index,
+            output=output,
+            path=path_wire,
+        )
+        if io is None:
+            io = io_bytes(index, output)
+        cached = replyx.__dict__
+        cached["wire_bytes"] = pp._replyx_head + codec.encode(tx_digest) + io + codec.encode(path_wire)
+        cached["merkle_path"] = path
+        return replyx
+
+    @_computed_once
+    def merkle_path(self) -> MerklePath:
+        """``S`` as a :class:`MerklePath` (raises ``MerkleError`` when the
+        wire form is malformed)."""
+        return MerklePath.from_wire(self.path)
+
+    @_computed_once
+    def wire_bytes(self) -> bytes:
+        return codec.encode(self._wire)
+
+    @_computed_once
+    def _wire(self) -> tuple:
         return (
             "replyx",
             self.view,
@@ -350,6 +500,9 @@ class ReplyX:
             self.output,
             self.path,
         )
+
+    def to_wire(self) -> tuple:
+        return self._wire
 
     @staticmethod
     def from_wire(raw: tuple) -> "ReplyX":

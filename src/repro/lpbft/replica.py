@@ -64,7 +64,7 @@ from ..ledger import (
     RetentionPolicy,
     TxEntry,
 )
-from ..ledger.entries import tx_leaf_digests
+from ..ledger.entries import io_bytes, tx_leaf_digests
 from ..merkle import MerkleTree
 from ..network import Node
 from ..receipts.chain import GovernanceChain, GovernanceLink
@@ -84,6 +84,7 @@ from .messages import (
     Reply,
     ReplyX,
     TransactionRequest,
+    as_message,
     bitmap_members,
     bitmap_of,
 )
@@ -119,8 +120,8 @@ def execute_procedure(
         tx._discard()
         return {"reply": {"ok": False, "error": str(abort)}, "ws": EMPTY_WS}, max(1, ops)
     ops = tx.op_count
-    record = tx._commit()
-    return {"reply": result, "ws": record.write_set_digest()}, max(1, ops)
+    tx._commit()
+    return {"reply": result, "ws": tx.write_set_digest()}, max(1, ops)
 
 
 @dataclass
@@ -133,6 +134,7 @@ class BatchRecord:
     pp: PrePrepare | None = None
     pp_digest: Digest | None = None
     tios: list = field(default_factory=list)  # (request_wire|synthetic, index, output)
+    io: list = field(default_factory=list)  # io_bytes per tio (None for cp tx) until replies go out
     staged: list = field(default_factory=list)  # tx/checkpoint entries awaiting _install_batch
     g_tree: MerkleTree = field(default_factory=MerkleTree)
     tx_digests: list = field(default_factory=list)  # request digest per tio (None for cp tx)
@@ -264,7 +266,7 @@ class LPBFTReplicaCore(Node):
         self.pending_commits: dict[tuple[int, int], list[Commit]] = {}
         self.own_nonces: dict[tuple[int, int], NonceCommitment] = {}
         self.tx_locations: dict[Digest, tuple[int, int]] = {}  # digest -> (seqno, index)
-        self.pending_pps: list[tuple] = []  # stashed (pp_wire, digests, trace_ctx)
+        self.pending_pps: list[tuple] = []  # stashed (PrePrepare, digests, trace_ctx)
         # Peers we have an outstanding legacy fetch-ledger to: only a
         # solicited `ledger-gone` may suspend us into a state transfer.
         self._fetch_ledger_pending: set[str] = set()
@@ -412,7 +414,7 @@ class LPBFTReplicaCore(Node):
     def handle_request(
         self, src: str, msg: tuple, force: bool = False, record_source: bool = True
     ) -> None:
-        request = TransactionRequest.from_wire(msg[1])
+        request = as_message(TransactionRequest, msg[1])
         tx_digest = request.request_digest()
         if tx_digest in self.tx_locations or tx_digest in self.requests:
             if record_source:
@@ -876,7 +878,7 @@ class LPBFTReplicaCore(Node):
         record.kv_mark = kv_mark
         pp = self._finalize_batch(record, ev_bitmap)
         batch_digests = tuple(d for d in record.tx_digests if d is not None)
-        payload = ("pre-prepare", pp.to_wire(), batch_digests)
+        payload = ("pre-prepare", pp, batch_digests)
         if pp_span is not None:
             # Outgoing pre-prepares (and everything else this activity
             # sends) carry the batch span as causal parent.
@@ -952,6 +954,7 @@ class LPBFTReplicaCore(Node):
                 index=next_index,
             )
             record.tios.append(entry.tio())
+            record.io.append(None)
             record.g_tree.append(digest_value(entry.tio()))
             record.tx_digests.append(None)
             record.staged.append(entry)
@@ -978,8 +981,10 @@ class LPBFTReplicaCore(Node):
             if self.behavior is not None:
                 output = self.behavior.mutate_output(self, request, output)
             request_wire = request.to_wire()
-            g_leaf, entry_digest = tx_leaf_digests(request.wire_bytes, next_index, output)
+            io = io_bytes(next_index, output)
+            g_leaf, entry_digest = tx_leaf_digests(request.wire_bytes, next_index, output, io)
             record.tios.append((request_wire, next_index, output))
+            record.io.append(io)
             record.g_tree.append(g_leaf)
             record.tx_digests.append(tx_digest)
             record.staged.append(
@@ -1069,7 +1074,7 @@ class LPBFTReplicaCore(Node):
         # Third element: the message's trace context (None untraced) — the
         # accept may run later, from another message's activity, so the
         # causal parent is stashed with the pre-prepare.
-        self.pending_pps.append((msg[1], tuple(msg[2]), self._inbound_ctx))
+        self.pending_pps.append((as_message(PrePrepare, msg[1]), tuple(msg[2]), self._inbound_ctx))
         self._retry_pending_pps()
 
     def _retry_pending_pps(self) -> None:
@@ -1078,9 +1083,9 @@ class LPBFTReplicaCore(Node):
         progress = True
         while progress:
             progress = False
-            self.pending_pps.sort(key=lambda item: item[0][2])  # wire field 2 = seqno
+            self.pending_pps.sort(key=lambda item: item[0].seqno)
             for stashed in list(self.pending_pps):
-                pp = PrePrepare.from_wire(stashed[0])
+                pp = stashed[0]
                 known = self.batches.get(pp.seqno)
                 # Drop only what can never be needed: stale views, or
                 # batches we already hold in an equal-or-newer view.  A
@@ -1229,7 +1234,7 @@ class LPBFTReplicaCore(Node):
         prepare = prepare.with_signature(self._sign(prepare.signed_payload()))
         self._store_prepare(prepare)
         if self.is_member(s):
-            payload = ("prepare", prepare.to_wire())
+            payload = ("prepare", prepare)
             for dst in self.peer_addresses():
                 out = payload if self.behavior is None else self.behavior.outgoing_prepare(self, dst, payload)
                 if out is not None:
@@ -1270,7 +1275,7 @@ class LPBFTReplicaCore(Node):
     # -- prepares and commits (Alg. 1 lines 27–41) -----------------------------------------
 
     def handle_prepare(self, src: str, msg: tuple) -> None:
-        prepare = Prepare.from_wire(msg[1])
+        prepare = as_message(Prepare, msg[1])
         located = self.ppd_index.get(prepare.pp_digest)
         if located is not None:
             view, seqno = located
@@ -1292,7 +1297,7 @@ class LPBFTReplicaCore(Node):
         self.prepares_by_ppd.setdefault(prepare.pp_digest, {})[prepare.replica] = prepare
 
     def handle_commit(self, src: str, msg: tuple) -> None:
-        commit = Commit.from_wire(msg[1])
+        commit = as_message(Commit, msg[1])
         if (commit.view, commit.seqno) not in self.pps:
             self.pending_commits.setdefault((commit.view, commit.seqno), []).append(commit)
             return
@@ -1355,13 +1360,14 @@ class LPBFTReplicaCore(Node):
             nonce = self.own_nonces.get((view, seqno))
             if nonce is not None:
                 commit = Commit(view=view, seqno=seqno, replica=self.id, nonce=nonce.nonce)
-                payload = ("commit", commit.to_wire())
+                payload = ("commit", commit)
                 for dst in self.peer_addresses():
                     out = payload if self.behavior is None else self.behavior.outgoing_commit(self, dst, payload)
                     if out is not None:
                         self.send(dst, out)
                 self.commit_nonces.setdefault((view, seqno), {})[self.id] = nonce.nonce
             self._send_replies(record)
+        record.io.clear()  # only the first replyx of each transaction reuses it
         self._check_committed(view, seqno)
         nxt = self.batches.get(seqno + 1)
         if nxt is not None:
@@ -1447,7 +1453,7 @@ class LPBFTReplicaCore(Node):
         reply = self._build_reply(record)
         if reply is None:
             return
-        payload = ("reply", reply.to_wire(), (tx_digest,))
+        payload = ("reply", reply, (tx_digest,))
         if self.behavior is not None:
             payload = self.behavior.outgoing_reply(self, src, payload)
             if payload is None:
@@ -1469,7 +1475,7 @@ class LPBFTReplicaCore(Node):
             dst = self.request_sources.get(tx_digests[0])
             if dst is None:
                 continue
-            payload = ("reply", reply.to_wire(), tuple(tx_digests))
+            payload = ("reply", reply, tuple(tx_digests))
             if self.behavior is not None:
                 payload = self.behavior.outgoing_reply(self, dst, payload)
                 if payload is None:
@@ -1488,22 +1494,9 @@ class LPBFTReplicaCore(Node):
     ) -> None:
         path = record.g_tree.path(position)
         self.submit("hash", len(path) * self.costs.hash_fixed)
-        replyx = ReplyX(
-            view=record.view,
-            seqno=record.seqno,
-            root_m=record.pp.root_m,
-            primary_nonce_commitment=record.pp.nonce_commitment,
-            evidence_bitmap=record.pp.evidence_bitmap,
-            gov_index=record.pp.gov_index,
-            checkpoint_digest=record.pp.checkpoint_digest,
-            flags=record.pp.flags,
-            committed_root=record.pp.committed_root,
-            tx_digest=tx_digest,
-            index=tio[1],
-            output=tio[2],
-            path=path.to_wire(),
-        )
-        payload = ("replyx", replyx.to_wire())
+        io = record.io[position] if position < len(record.io) else None
+        replyx = ReplyX.for_tx(record.pp, tx_digest, tio[1], tio[2], path, io)
+        payload = ("replyx", replyx)
         if self.behavior is not None:
             payload = self.behavior.outgoing_replyx(self, dst, payload)
             if payload is None:
@@ -1573,22 +1566,8 @@ class LPBFTReplicaCore(Node):
             return
         self.submit("hash", len(g_tree) * self.costs.hash_fixed)
         path = g_tree.path(position)
-        replyx = ReplyX(
-            view=pp.view,
-            seqno=seqno,
-            root_m=pp.root_m,
-            primary_nonce_commitment=pp.nonce_commitment,
-            evidence_bitmap=pp.evidence_bitmap,
-            gov_index=pp.gov_index,
-            checkpoint_digest=pp.checkpoint_digest,
-            flags=pp.flags,
-            committed_root=pp.committed_root,
-            tx_digest=tx_digest,
-            index=target[1],
-            output=target[2],
-            path=path.to_wire(),
-        )
-        self.send(src, ("replyx", replyx.to_wire()))
+        replyx = ReplyX.for_tx(pp, tx_digest, target[1], target[2], path)
+        self.send(src, ("replyx", replyx))
         self.metrics.bump("receipts_rebuilt_from_ledger")
 
     # -- checkpoints (§3.4) ------------------------------------------------------------

@@ -83,8 +83,6 @@ class ViewChangeMixin:
         """Suspect the primary when work is pending but no batch committed
         since the previous check; catch up when the rest of the service
         has visibly moved to a higher view without us."""
-        from .messages import PrePrepare as _PP
-
         if self.syncing:
             # A state transfer is already recovering us; do not also
             # suspect the primary or fight over views meanwhile.
@@ -97,9 +95,9 @@ class ViewChangeMixin:
             # Stashed pre-prepares from a higher view mean we missed a
             # new-view (e.g. we were partitioned away): adopt the ledger
             # from that view's primary instead of fighting it.
-            higher = [item for item in self.pending_pps if item[0][1] > self.view]
+            higher = [item for item in self.pending_pps if item[0].view > self.view]
             if higher:
-                pp = _PP.from_wire(higher[0][0])
+                pp = higher[0][0]
                 config = self.current_config()
                 primary_addr = self.replica_directory.get(config.primary_for_view(pp.view))
                 self._request_state_sync(primary_addr, reason="missed_view")
@@ -122,7 +120,7 @@ class ViewChangeMixin:
             # progress (e.g. the evidence for the next batch was
             # garbage-collected at every peer): a transfer is the only
             # way forward, gap or no gap.
-            horizon = max(item[0][2] for item in self.pending_pps)
+            horizon = max(item[0].seqno for item in self.pending_pps)
             if horizon - max(self.committed_upto, 0) > self._lag_threshold():
                 self._request_state_sync(reason="stuck")
                 self._arm_view_change_timer()

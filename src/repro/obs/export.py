@@ -149,14 +149,27 @@ def write_perfetto(path, tracer: Tracer, cpus: dict | None = None) -> None:
 # -- per-stage breakdown --------------------------------------------------------
 
 
+def quorum_ends(spans: list[Span]) -> dict:
+    """seqno -> end of the first finished "quorum" span for that seqno,
+    in span order: the lookup :func:`request_stages` makes, built once
+    so that summarizing many traces stays linear in the spans."""
+    ends: dict = {}
+    for s in spans:
+        if s.name == "quorum" and s.end is not None:
+            ends.setdefault((s.attrs or {}).get("seqno"), s.end)
+    return ends
+
+
 def request_stages(spans: list[Span],
-                   all_spans: list[Span] | None = None) -> dict | None:
+                   all_spans: list[Span] | None = None,
+                   quorum_index: dict | None = None) -> dict | None:
     """Stage durations for one request trace (the root span's trace).
 
     ``spans`` is one trace's spans; ``all_spans`` (default: same list)
     is searched for the cross-trace quorum span matched by seqno, since
     on the primary the quorum span belongs to the *batch's* trace, not
-    necessarily this request's.
+    necessarily this request's.  ``quorum_index`` (from
+    :func:`quorum_ends`) replaces that search when given.
 
     Stages telescope over milestones partitioning ``[root.start,
     root.end]`` so they sum exactly to the end-to-end latency:
@@ -187,13 +200,13 @@ def request_stages(spans: list[Span],
     if admission is None or execute is None:
         return None
     seqno = (execute.attrs or {}).get("seqno")
-    quorum_end = None
-    search = all_spans if all_spans is not None else spans
-    for s in search:
-        if (s.name == "quorum" and s.end is not None
-                and (s.attrs or {}).get("seqno") == seqno):
-            quorum_end = s.end
-            break
+    if quorum_index is not None:
+        quorum_end = quorum_index.get(seqno)
+    else:
+        search = all_spans if all_spans is not None else spans
+        quorum_end = next((s.end for s in search
+                           if s.name == "quorum" and s.end is not None
+                           and (s.attrs or {}).get("seqno") == seqno), None)
     if quorum_end is None:
         quorum_end = execute.end
     # Clamp milestones into [root.start, root.end] and order them, so
@@ -226,11 +239,12 @@ def stage_breakdown(tracer_or_spans) -> dict:
     by_trace: dict[int, list[Span]] = {}
     for span in spans:
         by_trace.setdefault(span.trace_id, []).append(span)
+    quorum_index = quorum_ends(spans)
     stats = {name: LatencyStats() for name in STAGE_NAMES}
     e2e = LatencyStats()
     n = 0
     for trace_spans in by_trace.values():
-        row = request_stages(trace_spans, spans)
+        row = request_stages(trace_spans, quorum_index=quorum_index)
         if row is None:
             continue
         n += 1

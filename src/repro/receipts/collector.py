@@ -18,8 +18,7 @@ from ..crypto import signatures
 from ..crypto.hashing import Digest
 from ..errors import ReceiptError
 from ..governance.configuration import Configuration
-from ..lpbft.messages import Reply, ReplyX, bitmap_of
-from ..merkle import MerklePath
+from ..lpbft.messages import Reply, ReplyX, TransactionRequest, as_message, bitmap_of
 from .receipt import Receipt, verify_receipt
 
 
@@ -70,7 +69,7 @@ def assemble_receipt(
         request_wire=request_wire,
         index=None if is_batch else replyx.index,
         output=None if is_batch else replyx.output,
-        path=None if is_batch else MerklePath.from_wire(replyx.path),
+        path=None if is_batch else replyx.merkle_path,
         view=replyx.view,
         seqno=replyx.seqno,
         root_m=replyx.root_m,
@@ -93,7 +92,7 @@ def assemble_receipt(
 class PendingRequest:
     """Collection state for one in-flight request."""
 
-    request_wire: tuple
+    request: TransactionRequest
     sent_at: float
     replies: dict[tuple[int, int], dict[int, Reply]] = field(default_factory=dict)
     replyx: dict[tuple[int, int], ReplyX] = field(default_factory=dict)
@@ -165,19 +164,28 @@ class ReceiptCollector:
 
     # -- request lifecycle -------------------------------------------------------
 
-    def track(self, tx_digest: Digest, request_wire: tuple, now: float = 0.0) -> None:
-        """Start collecting replies for a request."""
-        if tx_digest not in self._done:
-            self._pending.setdefault(tx_digest, PendingRequest(request_wire=request_wire, sent_at=now))
+    def track(
+        self, tx_digest: Digest, request: TransactionRequest | tuple, now: float = 0.0
+    ) -> None:
+        """Start collecting replies for a request (the object, or its wire
+        form)."""
+        if tx_digest not in self._done and tx_digest not in self._pending:
+            request = as_message(TransactionRequest, request)
+            self._pending[tx_digest] = PendingRequest(request=request, sent_at=now)
             self._sent_times.setdefault(tx_digest, now)
 
     def pending_digests(self) -> list[Digest]:
         return list(self._pending)
 
-    def request_wire(self, tx_digest: Digest) -> tuple | None:
-        """The wire form of a pending request (for retransmission)."""
+    def request(self, tx_digest: Digest) -> TransactionRequest | None:
+        """A pending request (for retransmission)."""
         pending = self._pending.get(tx_digest)
-        return None if pending is None else pending.request_wire
+        return None if pending is None else pending.request
+
+    def request_wire(self, tx_digest: Digest) -> tuple | None:
+        """The wire form of a pending request."""
+        pending = self._pending.get(tx_digest)
+        return None if pending is None else pending.request.to_wire()
 
     def abandon(self, tx_digest: Digest) -> bool:
         """Stop collecting for a request (retry budget exhausted); returns
@@ -248,7 +256,7 @@ class ReceiptCollector:
             return None
         try:
             receipt = assemble_receipt(
-                pending.request_wire, replies, replyx, config,
+                pending.request.to_wire(), replies, replyx, config,
                 backend=self._backend, aggregate=self._aggregate,
             )
         except ReceiptError:
@@ -286,11 +294,11 @@ class ReceiptCollector:
             subset = {r: m for r, m in replies.items() if r != dropped}
             if len(subset) < config.quorum:
                 continue
-            candidate = assemble_receipt(pending.request_wire, subset, replyx, config)
+            candidate = assemble_receipt(pending.request.to_wire(), subset, replyx, config)
             if verify_receipt(candidate, config, self._backend, cache=self._cache):
                 if self._aggregate:
                     return assemble_receipt(
-                        pending.request_wire, subset, replyx, config,
+                        pending.request.to_wire(), subset, replyx, config,
                         backend=self._backend, aggregate=True,
                     )
                 return candidate

@@ -94,9 +94,9 @@ class StateSyncMixin:
         can process (no gap — just work to do)."""
         if not self.pending_pps:
             return 0
-        if any(item[0][2] <= self.next_seqno for item in self.pending_pps):
+        if any(item[0].seqno <= self.next_seqno for item in self.pending_pps):
             return 0
-        horizon = max(item[0][2] for item in self.pending_pps)  # wire field 2 = seqno
+        horizon = max(item[0].seqno for item in self.pending_pps)
         return horizon - max(self.committed_upto, 0)
 
     def _finish_state_sync(self) -> None:

@@ -377,3 +377,172 @@ codec_values = st.recursive(
 @given(codec_values)
 def test_property_encoder_matches_reference(value):
     assert codec.encode(value) == _reference_encode(value)
+
+
+# -- protocol messages sent as objects ---------------------------------------
+#
+# Correct nodes put the message object itself into the envelope, and the
+# codec encodes an object with ``wire_bytes`` as exactly those bytes.  So
+# each message's cached (or composed) ``wire_bytes`` must be the encoding
+# of its wire tuple, and an envelope must encode the same either way.
+
+
+def _golden_messages():
+    from repro.crypto.hashing import digest
+    from repro.lpbft.messages import Commit, PrePrepare, Prepare, Reply, ReplyX, TransactionRequest
+    from repro.merkle import MerkleTree
+
+    request = TransactionRequest(
+        procedure="smallbank.send_payment", args={"amount": 25, "dst": 70000, "src": 3},
+        client=b"\x11" * 4, service=b"\x22" * 4, min_index=12, nonce=3,
+    ).with_signature(b"\x33" * 8)
+    pp = PrePrepare(
+        view=1, seqno=300, root_m=b"\x01" * 4, root_g=b"\x02" * 4, nonce_commitment=b"\x03" * 4,
+        evidence_bitmap=0b1011, gov_index=70000, checkpoint_digest=b"\x04" * 4, flags=0,
+        committed_root=b"", signature=b"\x05" * 8,
+    )
+    prepare = Prepare(replica=2, nonce_commitment=b"\x06" * 4, pp_digest=b"\x07" * 4, signature=b"\x08" * 8)
+    commit = Commit(view=1, seqno=300, replica=3, nonce=b"\x09" * 4)
+    reply = Reply(view=1, seqno=300, replica=0, signature=b"\x0a" * 8, nonce=b"\x0b" * 4)
+    # A 130-byte string and a bigint make the output's lengths cross the
+    # one-byte varint boundary inside the composed replyx.
+    output = {
+        "reply": {"ok": True, "memo": "m" * 130, "big": -(2**70), "nested": {"a": (1, None)}},
+        "ws": b"\xaa" * 4,
+    }
+    tree = MerkleTree([digest(bytes([i])) for i in range(5)])
+    replyx = ReplyX.for_tx(pp, b"\x0c" * 4, 8191, output, tree.path(3))
+    return {
+        "request": request, "pre-prepare": pp, "prepare": prepare,
+        "commit": commit, "reply": reply, "replyx": replyx,
+    }
+
+
+GOLDEN_MESSAGES = {
+    "request": GOLDEN[0][1],
+    "pre-prepare": (
+        "060c050b7072652d707265706172650300020300d80404040101010104040202020204"
+        "04030303030300160300e0c508040404040404030000040004080505050505050505"
+    ),
+    "prepare": "060505077072657061726503000404040606060604040707070704080808080808080808",
+    "commit": "06050506636f6d6d69740300020300d804030006040409090909",
+    "reply": "060605057265706c790300020300d80403000004080a0a0a0a0a0a0a0a04040b0b0b0b",
+    "replyx": (
+        "060e05067265706c79780300020300d8040404010101010404030303030300160300e0"
+        "c508040404040404030000040004040c0c0c0c0300fe7f0702057265706c7907040362"
+        "696703ff0109400000000000000000046d656d6f0582016d6d6d6d6d6d6d6d6d6d6d6d"
+        + "6d" * 118
+        + "066e657374656407010161060203000200026f6b0202"
+        "77730404aaaaaaaa060303000603000a060306020420dbc1b4c900ffe48d575b5da5c6"
+        "38040125f65db0fe3e24494b76ea986457d986020602042030e1867424e66e8b6d1592"
+        "46db94e3486778136f7e386ff5f001859d6b8484ab0206020420e52d9c508c50234734"
+        "4d8c07ad91cbd6068afc75ff6292f062a09ca381c89e7101"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_MESSAGES))
+def test_golden_message_wire_bytes(kind):
+    message = _golden_messages()[kind]
+    expected = GOLDEN_MESSAGES[kind]
+    assert codec.encode(message.to_wire()).hex() == expected
+    assert _reference_encode(message.to_wire()).hex() == expected
+    assert message.wire_bytes.hex() == expected
+    assert codec.encode(message) == message.wire_bytes
+    assert codec.encode((kind, message)) == codec.encode((kind, message.to_wire()))
+    # The cached tuple is reused, and a decoded copy caches the same bytes.
+    assert message.to_wire() is message.to_wire()
+    assert type(message).from_wire(message.to_wire()).wire_bytes == message.wire_bytes
+
+
+def test_golden_message_signed_payloads_and_digests():
+    from repro.crypto.hashing import digest_value
+
+    messages = _golden_messages()
+    pp = messages["pre-prepare"]
+    assert pp.signed_payload() == codec.encode(pp.to_wire()[:-1])
+    assert pp.digest() == digest_value(pp.to_wire())
+    prepare = messages["prepare"]
+    assert prepare.signed_payload() == codec.encode(prepare.to_wire()[:-1])
+
+
+def test_map_header_and_map_key_compose_map_encodings():
+    for key in ("", "k", "é漢", "k" * 127, "k" * 128, "x" * 300):
+        assert codec.encode(key) == b"\x05" + codec.map_key(key)
+        value = {"a": (1, -1)}
+        assert codec.encode({key: value}) == codec.map_header(1) + codec.map_key(key) + codec.encode(value)
+    for n in (0, 2, 127, 128):
+        assert codec.map_header(n) == codec.encode({f"{i:04d}": None for i in range(n)})[: len(codec.map_header(n))]
+
+
+def test_object_with_wire_bytes_encodes_as_them():
+    class Carrier:
+        wire_bytes = codec.encode(("x", 1))
+
+    class NotBytes:
+        wire_bytes = "not bytes"
+
+    assert codec.encode(("env", Carrier(), 2)) == codec.encode(("env", ("x", 1), 2))
+    with pytest.raises(CodecError):
+        codec.encode(NotBytes())
+
+
+message_bytes = st.binary(max_size=40)
+message_ints = st.integers(min_value=0, max_value=2**64) | boundary_ints.filter(lambda n: n >= 0)
+replyx_outputs = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.binary(max_size=200) | st.text(min_size=0, max_size=150),
+    lambda children: st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=140), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def sent_messages(draw):
+    from repro.crypto.hashing import digest
+    from repro.lpbft.messages import Commit, PrePrepare, Prepare, Reply, ReplyX, TransactionRequest
+    from repro.merkle import MerkleTree
+
+    request = TransactionRequest(
+        procedure=draw(st.text(max_size=140)),
+        args=draw(st.dictionaries(st.text(max_size=140), replyx_outputs, max_size=4)),
+        client=draw(message_bytes), service=draw(message_bytes),
+        min_index=draw(message_ints), nonce=draw(message_ints),
+    ).with_signature(draw(st.binary(max_size=200)))
+    pp = PrePrepare(
+        view=draw(message_ints), seqno=draw(message_ints), root_m=draw(message_bytes),
+        root_g=draw(message_bytes), nonce_commitment=draw(message_bytes),
+        evidence_bitmap=draw(message_ints), gov_index=draw(message_ints),
+        checkpoint_digest=draw(message_bytes), flags=draw(st.integers(0, 3)),
+        committed_root=draw(message_bytes), signature=draw(st.binary(max_size=200)),
+    )
+    prepare = Prepare(
+        replica=draw(message_ints), nonce_commitment=draw(message_bytes),
+        pp_digest=draw(message_bytes), signature=draw(st.binary(max_size=200)),
+    )
+    commit = Commit(view=draw(message_ints), seqno=draw(message_ints),
+                    replica=draw(message_ints), nonce=draw(message_bytes))
+    reply = Reply(view=draw(message_ints), seqno=draw(message_ints), replica=draw(message_ints),
+                  signature=draw(message_bytes), nonce=draw(message_bytes))
+    size = draw(st.integers(min_value=1, max_value=40))
+    tree = MerkleTree([digest(bytes([i])) for i in range(size)])
+    path = tree.path(draw(st.integers(min_value=0, max_value=size - 1)))
+    index, output = draw(message_ints), draw(replyx_outputs)
+    from repro.ledger.entries import io_bytes
+
+    io = draw(st.sampled_from([None, io_bytes(index, output)]))
+    replyx = ReplyX.for_tx(pp, draw(message_bytes), index, output, path, io)
+    return [("request", request), ("pre-prepare", pp), ("prepare", prepare),
+            ("commit", commit), ("reply", reply), ("replyx", replyx)]
+
+
+@given(sent_messages())
+def test_property_sent_messages_encode_as_their_wire_tuples(messages):
+    for kind, message in messages:
+        expected = _reference_encode(message.to_wire())
+        assert message.wire_bytes == expected
+        assert codec.encode(message.to_wire()) == expected
+        assert codec.encode((kind, message)) == codec.encode((kind, message.to_wire()))
+        assert codec.encode((kind, message, (b"d" * 32,))) == codec.encode(
+            (kind, message.to_wire(), (b"d" * 32,)))

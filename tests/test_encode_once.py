@@ -3,8 +3,8 @@
 
 Requests cache their signed-field encoding, wire bytes and ``H(t)``;
 replicas derive the G leaf and the ``tx`` ledger-entry digest from one
-shared encoded tail; the network sizes a broadcast once and the client
-sizes its request message from the cached wire bytes.  These tests check
+shared encoded tail; the network sizes a broadcast once, and a request
+message from the request's cached wire bytes.  These tests check
 each shortcut against the plain codec over generated SmallBank traffic.
 """
 

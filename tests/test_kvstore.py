@@ -268,3 +268,76 @@ def test_property_rollback_is_inverse(first, second):
 @given(st.dictionaries(st.text(min_size=1, max_size=4), st.integers(), max_size=8))
 def test_property_digest_is_content_function(state):
     assert KVStore(dict(state)).state_digest() == KVStore(dict(reversed(list(state.items())))).state_digest()
+
+
+# -- write-set digest and accumulator composed from cached encodings ------------
+#
+# ``put`` encodes each value once; ``_commit`` builds the accumulator terms
+# and ``KVTransaction.write_set_digest`` the write-set digest from those
+# bytes and each key's map form (varint length + raw UTF-8, no str tag).
+# Both must equal the reference forms over the plain values.
+
+from repro import codec  # noqa: E402
+from repro.kvstore.store import _pair_term, entry_accumulator_term  # noqa: E402
+
+kv_keys = st.sampled_from(["a", "b", "c:1", "é", "漢字", "k" * 127, "k" * 128, "ü" * 70]) | st.text(max_size=150)
+kv_values = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.sampled_from([-1, -64, -65, 2**62, -(2**62), 2**64]) | st.binary(max_size=140)
+    | st.text(max_size=140),
+    lambda children: st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=130), children, max_size=4),
+    max_leaves=10,
+)
+kv_ops = st.lists(
+    st.tuples(st.sampled_from(["put", "delete"]), kv_keys, kv_values), max_size=12
+)
+
+
+def _apply(tx, ops):
+    for op, key, value in ops:
+        if op == "put":
+            tx.put(key, value)
+        else:
+            tx.delete(key)
+
+
+@given(kv_keys, kv_values)
+def test_composed_term_equals_entry_accumulator_term(key, value):
+    assert _pair_term(codec.map_key(key), codec.encode(value)) == entry_accumulator_term(key, value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(kv_keys, kv_values, max_size=6), st.lists(kv_ops, min_size=1, max_size=4))
+def test_composed_write_set_digest_and_accumulator(initial, transactions):
+    kv = KVStore(initial)
+    states = []
+    for ops in transactions:
+        states.append((kv.tx_count, dict(kv._data), kv._acc))
+        tx = kv.begin()
+        _apply(tx, ops)
+        record = tx._commit()
+        # The reference form: digest_value of the normalized/deleted map.
+        assert tx.write_set_digest() == record.write_set_digest()
+        assert kv._acc == state_accumulator(kv._data.items())
+    for mark, data, acc in reversed(states):
+        kv.rollback_to(mark)
+        assert kv._data == data
+        assert kv._acc == acc == state_accumulator(kv._data.items())
+
+
+def test_composed_write_set_digest_edge_cases():
+    kv = KVStore({"gone": 1, "k" * 200: (1, 2)})
+    tx = kv.begin()
+    tx.put("new", {"n": {"x": -(2**70)}, "s": "é" * 90})
+    tx.put("then-deleted", 5)
+    tx.delete("then-deleted")
+    tx.delete("gone")
+    tx.delete("never-there")
+    tx.delete("k" * 200)
+    tx.put("k" * 200, "back")
+    record = tx._commit()
+    assert tx.write_set_digest() == record.write_set_digest()
+    assert kv._acc == state_accumulator(kv._data.items())
+    empty = kv.begin()
+    assert empty._commit().write_set_digest() == empty.write_set_digest()

@@ -24,12 +24,14 @@ from repro.obs import (
     MetricsRegistry,
     PeriodicSampler,
     Tracer,
+    Span,
     perfetto_trace,
     request_stages,
     spans_from_trace,
     stage_breakdown,
     write_perfetto,
 )
+from repro.obs.export import STAGE_NAMES, quorum_ends
 from repro.obs.__main__ import main as obs_main
 from repro.sim.cpu import VirtualCPU
 from repro.sim.metrics import LatencyStats, MetricsCollector
@@ -177,6 +179,142 @@ class TestCausalChain:
         assert breakdown["requests"] == 1
         stage_sum = sum(v["mean_ms"] for v in breakdown["stages"].values())
         assert stage_sum == pytest.approx(breakdown["e2e"]["mean_ms"], abs=1e-9)
+
+
+# -- linear stage breakdown -----------------------------------------------------
+
+
+def _reference_request_stages(spans, all_spans):
+    """``request_stages`` as it was before the quorum index: a search of
+    every span for the first finished quorum span with the seqno."""
+    root = next((s for s in spans if s.name == "request" and s.parent_id is None
+                 and s.end is not None), None)
+    if root is None:
+        return None
+    admission = next((s for s in spans if s.name in ("admission", "stash")
+                      and s.end is not None), None)
+    execute = next((s for s in spans if s.name == "execute" and s.end is not None), None)
+    if admission is None or execute is None:
+        return None
+    seqno = (execute.attrs or {}).get("seqno")
+    quorum_end = None
+    for s in all_spans:
+        if s.name == "quorum" and s.end is not None and (s.attrs or {}).get("seqno") == seqno:
+            quorum_end = s.end
+            break
+    if quorum_end is None:
+        quorum_end = execute.end
+    milestones = [root.start, admission.start, admission.end,
+                  execute.start, execute.end, quorum_end, root.end]
+    lo, hi = root.start, root.end
+    milestones = [min(max(m, lo), hi) for m in milestones]
+    for i in range(1, len(milestones)):
+        milestones[i] = max(milestones[i], milestones[i - 1])
+    return {
+        "trace_id": root.trace_id,
+        "e2e_s": root.end - root.start,
+        "stages": {name: milestones[i + 1] - milestones[i]
+                   for i, name in enumerate(STAGE_NAMES)},
+        "seqno": seqno,
+    }
+
+
+def _reference_breakdown(spans):
+    by_trace: dict = {}
+    for span in spans:
+        by_trace.setdefault(span.trace_id, []).append(span)
+    stats = {name: LatencyStats() for name in STAGE_NAMES}
+    e2e = LatencyStats()
+    n = 0
+    for trace_spans in by_trace.values():
+        row = _reference_request_stages(trace_spans, spans)
+        if row is None:
+            continue
+        n += 1
+        e2e.record(row["e2e_s"])
+        for name, dur in row["stages"].items():
+            stats[name].record(dur)
+
+    def summ(ls):
+        return {"mean_ms": ls.mean() * 1e3, "p50_ms": ls.percentile(50) * 1e3,
+                "p99_ms": ls.p99() * 1e3}
+
+    return {"requests": n, "stages": {name: summ(stats[name]) for name in STAGE_NAMES},
+            "e2e": summ(e2e)}
+
+
+def _synthetic_spans(n_batches: int = 6, per_batch: int = 5) -> list:
+    """Request traces over several batches.  Each batch has quorum spans
+    on several replicas (one left open, and the first finished one not the
+    earliest-ending), some requests miss milestones, and one batch's
+    execute spans carry no seqno."""
+    spans = []
+    ids = iter(range(1, 10_000))
+
+    def span(trace, parent, name, start, end, **attrs):
+        s = Span(trace, next(ids), parent, name, "n", start, attrs or None)
+        s.end = end
+        spans.append(s)
+        return s
+
+    trace = 0
+    for b in range(n_batches):
+        seqno = None if b == 3 else b + 1
+        t0 = b * 0.01
+        for r in range(per_batch):
+            trace += 1
+            root = span(trace, None, "request", t0, t0 + 0.008 + r * 1e-4)
+            if r != 1:
+                span(trace, root.span_id, "admission" if r % 2 else "stash",
+                     t0 + 1e-4, t0 + 2e-4)
+            if r != 2:
+                attrs = {} if seqno is None else {"seqno": seqno}
+                span(trace, root.span_id, "execute", t0 + 3e-4 + r * 1e-5, t0 + 4e-4, **attrs)
+        quorum_attrs = {} if seqno is None else {"seqno": seqno}
+        span(trace, None, "quorum", t0 + 5e-4, None, **quorum_attrs)
+        span(trace, None, "quorum", t0 + 5e-4, t0 + 0.006, **quorum_attrs)
+        span(trace, None, "quorum", t0 + 5e-4, t0 + 0.004, **quorum_attrs)
+    return spans
+
+
+class TestLinearStageBreakdown:
+    def test_quorum_index_keeps_first_finished_match(self):
+        spans = _synthetic_spans()
+        index = quorum_ends(spans)
+        assert index[1] == pytest.approx(0.006)
+        assert None in index  # the batch whose spans carry no seqno
+
+    def test_synthetic_multi_batch_matches_search(self):
+        spans = _synthetic_spans()
+        by_trace: dict = {}
+        for span in spans:
+            by_trace.setdefault(span.trace_id, []).append(span)
+        index = quorum_ends(spans)
+        rows = 0
+        for trace_spans in by_trace.values():
+            expected = _reference_request_stages(trace_spans, spans)
+            assert request_stages(trace_spans, spans) == expected
+            assert request_stages(trace_spans, quorum_index=index) == expected
+            rows += expected is not None
+        assert rows > 0
+        assert stage_breakdown(spans) == _reference_breakdown(spans)
+
+    def test_traced_run_matches_search(self):
+        dep = Deployment(n_replicas=4, registry_setup=register_noop)
+        tracer = dep.enable_tracing()
+        client = dep.add_client("c1")
+        dep.start()
+        for wave in range(3):
+            for i in range(8):
+                client.submit("noop", {"i": i, "wave": wave}, min_index=0)
+            dep.run(until=dep.net.scheduler.now + 0.05)
+        dep.run(until=5.0)
+        assert len(client.receipts) == 24
+        spans = tracer.spans
+        assert len({s.attrs.get("seqno") for s in spans if s.name == "quorum"}) > 1
+        breakdown = stage_breakdown(tracer)
+        assert breakdown["requests"] == 24
+        assert breakdown == _reference_breakdown(spans)
 
 
 # -- export determinism ---------------------------------------------------------
